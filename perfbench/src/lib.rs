@@ -14,6 +14,7 @@
 //! (`--trace 1`) reports the per-layer ones (see [`trace`]). See
 //! `README.md` beside this crate for the metric definitions.
 
+mod calib;
 pub mod inputs;
 pub mod replay;
 mod sweep;
@@ -79,11 +80,82 @@ impl Workload {
     }
 }
 
+/// CPU time consumed by this process so far, all threads included.
+///
+/// The throughput and set-up metrics are read from this clock rather than
+/// the wall clock: on a shared host the wall clock also counts the time the
+/// process sat runnable while other work held its core, and the guest's
+/// steal time, neither of which is the program's cost. They are then
+/// calibrated by the reference kernel in [`calib`].
+#[cfg(target_os = "linux")]
+pub(crate) fn cpu_time() -> Duration {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec; the call only fills it.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the process CPU-time clock is always available");
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
+/// CPU time consumed by this process so far (wall time since the first
+/// call where no process CPU-time clock is wired up).
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn cpu_time() -> Duration {
+    use std::sync::OnceLock;
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed()
+}
+
+/// Wall and CPU time of a stretch of work.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Times {
+    /// Wall-clock time.
+    pub wall: Duration,
+    /// Process CPU time ([`cpu_time`]).
+    pub cpu: Duration,
+}
+
+/// Reads both clocks at the start of a stretch of work.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stopwatch {
+    wall: Instant,
+    cpu: Duration,
+}
+
+impl Stopwatch {
+    /// Starts both clocks.
+    pub fn start() -> Self {
+        Stopwatch {
+            wall: Instant::now(),
+            cpu: cpu_time(),
+        }
+    }
+
+    /// Both times since [`Stopwatch::start`].
+    pub fn elapsed(&self) -> Times {
+        Times {
+            cpu: cpu_time().saturating_sub(self.cpu),
+            wall: self.wall.elapsed(),
+        }
+    }
+}
+
 /// One timed round.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Round {
-    /// Wall time of the round's work, checks excluded.
-    pub wall: Duration,
+    /// Time of the round's work, checks excluded.
+    pub time: Times,
     /// Sessions whose results differed from the reference.
     pub failed: u64,
 }
@@ -154,6 +226,15 @@ pub struct Report {
     pub verdicts: usize,
     /// Timed rounds run.
     pub rounds: u64,
+    /// Simulated call-seconds of the untraced rounds.
+    pub sim_secs: f64,
+    /// Process CPU time of the untraced rounds, in seconds.
+    pub cpu_secs: f64,
+    /// How much slower than nominal the host ran the reference kernel
+    /// during the untraced rounds ([`calib::Calibration::slowdown`]).
+    pub slowdown: f64,
+    /// Wall time of the untraced rounds, in seconds.
+    pub wall_secs: f64,
 }
 
 impl Report {
@@ -226,19 +307,22 @@ fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Totals of the measurement loop; `wall` and `sim_secs` are indexed by
-/// round kind (0 untraced, 1 traced).
+/// Totals of the measurement loop; `wall`, `cpu` and `sim_secs` are
+/// indexed by round kind (0 untraced, 1 traced).
 struct Loop {
     attempted: u64,
     failed: u64,
     rounds: u64,
     panicked: bool,
     wall: [Duration; 2],
+    cpu: [Duration; 2],
     sim_secs: [f64; 2],
+    calib: calib::Calibration,
 }
 
 /// Runs the measurement rounds until `seconds` have passed (at least one
 /// of each kind), alternating untraced and traced rounds when `traced`.
+/// Each untraced round is followed by a sample of the reference kernel.
 /// A round that panics fails every session it ran and ends the loop.
 fn measure(bench: &mut dyn Bench, seconds: f64, traced: bool) -> Loop {
     let mut l = Loop {
@@ -247,7 +331,9 @@ fn measure(bench: &mut dyn Bench, seconds: f64, traced: bool) -> Loop {
         rounds: 0,
         panicked: false,
         wall: [Duration::ZERO; 2],
+        cpu: [Duration::ZERO; 2],
         sim_secs: [0.0; 2],
+        calib: calib::Calibration::default(),
     };
     let start = Instant::now();
     let kinds = if traced { 2 } else { 1 };
@@ -258,8 +344,12 @@ fn measure(bench: &mut dyn Bench, seconds: f64, traced: bool) -> Loop {
         match catch_unwind(AssertUnwindSafe(|| bench.round(kind == 1))) {
             Ok(r) => {
                 l.failed += r.failed;
-                l.wall[kind] += r.wall;
+                l.wall[kind] += r.time.wall;
+                l.cpu[kind] += r.time.cpu;
                 l.sim_secs[kind] += bench.sim_secs();
+                if kind == 0 {
+                    l.calib.sample(r.time.cpu);
+                }
             }
             Err(_) => {
                 l.failed += bench.sessions();
@@ -278,15 +368,15 @@ pub fn run(opts: &Options) -> Report {
     } else {
         opts.setup_reps.max(1)
     };
-    let mut setup_walls = Vec::with_capacity(reps);
+    let mut setup_times = Vec::with_capacity(reps);
     let mut digests = Vec::with_capacity(reps);
     let mut bench: Option<Box<dyn Bench>> = None;
     for _ in 0..reps {
         // The previous set-up is dropped first, so peak memory sees one.
         drop(bench.take());
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let b = opts.workload.setup(opts.seed);
-        setup_walls.push(t0.elapsed().as_secs_f64());
+        setup_times.push(clock.elapsed().cpu.as_secs_f64());
         digests.push(b.digest());
         bench = Some(b);
     }
@@ -300,6 +390,7 @@ pub fn run(opts: &Options) -> Report {
     trace::take();
     let l = measure(bench.as_mut(), opts.seconds, opts.trace);
     correct &= !l.panicked && l.failed == 0;
+    let slowdown = l.calib.slowdown();
     let lags = bench.verdict_lags_ms();
     let mut metrics = Vec::new();
     let mut put = |name: &str, value: f64, unit: &'static str| {
@@ -312,10 +403,10 @@ pub fn run(opts: &Options) -> Report {
     if !opts.trace {
         put(
             "sim_s_per_s",
-            l.sim_secs[0] / l.wall[0].as_secs_f64(),
+            l.sim_secs[0] / l.cpu[0].as_secs_f64() * slowdown,
             "sim_s/s",
         );
-        put("setup_s", median(setup_walls), "s");
+        put("setup_s", median(setup_times) / slowdown, "s");
         put("peak_rss_mb", peak_rss_mb(), "MiB");
         put("verdict_lag_p50_ms", percentile(lags, 0.50), "ms");
         put("verdict_lag_p95_ms", percentile(lags, 0.95), "ms");
@@ -366,5 +457,9 @@ pub fn run(opts: &Options) -> Report {
         digest,
         verdicts: lags.len(),
         rounds: l.rounds,
+        sim_secs: l.sim_secs[0],
+        cpu_secs: l.cpu[0].as_secs_f64(),
+        slowdown,
+        wall_secs: l.wall[0].as_secs_f64(),
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! perfbench --workload <rtc-table1|abr-contended|live-replay> --seed <n>
-//!           --seconds <s> --trace <0|1>
+//!           --seconds <s> --trace <0|1> [--setups <n>]
 //! ```
 //!
-//! Prints a summary line, then one JSON object as the last line of stdout.
-//! Exits with 0 only when every check passed.
+//! Prints a summary line (with the untraced rounds' simulated, CPU and wall
+//! seconds and the host's slowdown, which `run.py` merges over processes),
+//! then one JSON object as the last line of stdout. Exits with 0 only when every check passed.
 
 use std::process::ExitCode;
 
@@ -16,7 +17,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("perfbench: {msg}");
     eprintln!(
         "usage: perfbench --workload <rtc-table1|abr-contended|live-replay> \
-         [--seed N] [--seconds S] [--trace 0|1]"
+         [--seed N] [--seconds S] [--trace 0|1] [--setups N]"
     );
     ExitCode::from(2)
 }
@@ -26,6 +27,7 @@ fn main() -> ExitCode {
     let mut seed = DEFAULT_SEED;
     let mut seconds = 10.0;
     let mut trace = false;
+    let mut setup_reps = SETUP_REPS;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let Some(value) = args.next() else {
@@ -49,6 +51,10 @@ fn main() -> ExitCode {
                 "1" => trace = true,
                 _ => return usage(&format!("bad trace {value:?}")),
             },
+            "--setups" => match value.parse() {
+                Ok(n) if n > 0 => setup_reps = n,
+                _ => return usage(&format!("bad setups {value:?}")),
+            },
             _ => return usage(&format!("unknown flag {flag:?}")),
         }
     }
@@ -60,15 +66,19 @@ fn main() -> ExitCode {
         seed,
         seconds,
         trace,
-        setup_reps: SETUP_REPS,
+        setup_reps,
     });
     println!(
-        "# {} seed={seed} trace={} rounds={} digest={:016x} verdicts={}",
+        "# {} seed={seed} trace={} rounds={} digest={:016x} verdicts={} sim_s={:?} cpu_s={:?} wall_s={:?} slowdown={:?}",
         workload.name(),
         u8::from(trace),
         report.rounds,
         report.digest,
         report.verdicts,
+        report.sim_secs,
+        report.cpu_secs,
+        report.wall_secs,
+        report.slowdown,
     );
     println!("{}", report.to_json());
     if report.correct && report.failed == 0 {

@@ -2,13 +2,10 @@
 //!
 //! Set-up simulates the fleet once with a recording [`LiveTap`], which
 //! captures the engine's exact tap-call stream (`on_tick` calls included).
-//! Each timed round replays every call's stream, interleaved tick by tick
-//! like a multiplexed worker, through `ChaosTap` (for the calls that carry a
-//! chaos plan) into a `LivePipeline` leased from one `PipelinePool`. The
-//! simulator does not run in the timed region, so the live layers take
-//! nearly all of it.
-
-use std::time::Instant;
+//! Each timed round replays every call's stream, one call after another,
+//! through `ChaosTap` (for the calls that carry a chaos plan) into a
+//! `LivePipeline` leased from one `PipelinePool`. The simulator does not
+//! run in the timed region, so the live layers take nearly all of it.
 
 use domino_core::{ChainStats, Domino, DominoConfig};
 use domino_live::{ChaosState, ChaosTap, LiveConfig, LivePipeline, LiveStats, LiveVerdict};
@@ -23,7 +20,7 @@ use telemetry::{
 
 use crate::sweep::lag_ms;
 use crate::trace::{self, Layer, TimedTap};
-use crate::{fnv1a, inputs, Bench, Round};
+use crate::{fnv1a, inputs, Bench, Round, Stopwatch};
 
 /// One tap call of a recorded stream; its payload sits in the matching
 /// per-kind vector of the [`Recording`], in call order.
@@ -246,72 +243,54 @@ impl ReplayBench {
         &self.reference
     }
 
-    /// Replays every call once, interleaved tick by tick, handing each
+    /// Replays every call once, one call after another, handing each
     /// finished call's results to `done` as `(call index, result, whether
     /// its chaos log reconciled)`; the verdicts are borrowed from the
-    /// pipeline.
+    /// pipeline. Each call leases its pipeline from the pool and returns it
+    /// when it finishes, so the next call reuses it.
     fn replay<const TRACED: bool>(
         &mut self,
         mut done: impl FnMut(usize, ChainStats, LiveStats, &[LiveVerdict], bool),
     ) {
-        let calls = &self.calls;
-        let pool = &mut self.pool;
         let graph = self.domino.graph();
-        let mut cursors = vec![Cursor::default(); calls.len()];
-        let mut chaos: Vec<Option<ChaosState>> = calls
-            .iter()
-            .map(|c| {
-                c.spec
-                    .chaos
-                    .as_ref()
-                    .map(ChaosState::new)
-                    .filter(|s| !s.is_noop())
-            })
-            .collect();
-        for (k, call) in calls.iter().enumerate() {
-            pool.checkout(k as u64)
-                .set_live_config(live_config(&call.spec));
-        }
-        let mut active: Vec<usize> = (0..calls.len()).collect();
-        while !active.is_empty() {
-            let mut i = 0;
-            while i < active.len() {
-                let k = active[i];
-                let pipe = pool.get_mut(k as u64).expect("leased above");
-                let finished = replay_tick::<TRACED>(
-                    &calls[k].recording,
-                    &mut cursors[k],
-                    chaos[k].as_mut(),
-                    pipe,
-                    &mut self.verdict_ticks,
-                );
-                if !finished {
-                    i += 1;
-                    continue;
-                }
-                active.swap_remove(i);
-                if TRACED {
-                    trace::switch(Layer::CoreAnalyze);
-                }
-                let analysis = pipe.take_analysis(calls[k].meta.duration);
-                if TRACED {
-                    trace::switch(Layer::CoreStats);
-                }
-                let stats = ChainStats::compute(graph, &analysis);
-                if TRACED {
-                    trace::exit();
-                }
-                let reconciled = chaos[k].as_ref().is_none_or(|s| s.log.reconciled());
-                done(k, stats, pipe.stats(), pipe.verdicts(), reconciled);
-                pool.release(k as u64);
+        for (k, call) in self.calls.iter().enumerate() {
+            let mut cursor = Cursor::default();
+            let mut chaos = call
+                .spec
+                .chaos
+                .as_ref()
+                .map(ChaosState::new)
+                .filter(|s| !s.is_noop());
+            let pipe = self.pool.checkout(k as u64);
+            pipe.set_live_config(live_config(&call.spec));
+            while !replay_tick::<TRACED>(
+                &call.recording,
+                &mut cursor,
+                chaos.as_mut(),
+                pipe,
+                &mut self.verdict_ticks,
+            ) {}
+            if TRACED {
+                trace::switch(Layer::CoreAnalyze);
             }
+            let analysis = pipe.take_analysis(call.meta.duration);
+            if TRACED {
+                trace::switch(Layer::CoreStats);
+            }
+            let stats = ChainStats::compute(graph, &analysis);
+            if TRACED {
+                trace::exit();
+            }
+            let reconciled = chaos.as_ref().is_none_or(|s| s.log.reconciled());
+            done(k, stats, pipe.stats(), pipe.verdicts(), reconciled);
+            self.pool.release(k as u64);
         }
     }
 
     fn round_of<const TRACED: bool>(&mut self) -> Round {
         let mut failed = 0u64;
         let mut finished = 0usize;
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         if TRACED {
             trace::begin();
         }
@@ -327,9 +306,9 @@ impl ReplayBench {
         if TRACED {
             trace::end();
         }
-        let wall = t0.elapsed();
+        let time = clock.elapsed();
         failed += self.calls.len().abs_diff(finished) as u64;
-        Round { wall, failed }
+        Round { time, failed }
     }
 }
 

@@ -8,8 +8,6 @@
 //! each call (see [`crate::trace`]). Both must produce the same report
 //! bytes, which the reference digest checks.
 
-use std::time::Instant;
-
 use domino_core::{abr_graph, ChainStats, Domino, DominoConfig, StreamingAnalyzer};
 use domino_sweep::{
     run_sweep, AnalysisMode, ExecutionMode, SessionOutcome, ShardReport, SpecOutcome, SweepOptions,
@@ -20,7 +18,7 @@ use simcore::{EventQueue, SimDuration, SimTime};
 use telemetry::NullTap;
 
 use crate::trace::{self, Layer};
-use crate::{fnv1a, inputs, Bench, Round};
+use crate::{fnv1a, inputs, Bench, Round, Stopwatch};
 
 /// One sweep workload, set up and warmed.
 pub struct SweepBench {
@@ -113,18 +111,18 @@ impl SweepBench {
     }
 
     fn untraced(&mut self) -> Round {
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let report = ShardReport::from_sweep(&run_sweep(&self.specs, &self.domino, &self.opts));
         let text = report.encode();
-        let wall = t0.elapsed();
+        let time = clock.elapsed();
         Round {
-            wall,
+            time,
             failed: self.failures(&report, &text),
         }
     }
 
     fn traced(&mut self) -> Round {
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         trace::begin();
         let outcomes = if self.width > 1 {
             self.traced_multiplexed()
@@ -140,9 +138,9 @@ impl SweepBench {
         let text = report.encode();
         trace::exit();
         trace::end();
-        let wall = t0.elapsed();
+        let time = clock.elapsed();
         Round {
-            wall,
+            time,
             failed: self.failures(&report, &text),
         }
     }
