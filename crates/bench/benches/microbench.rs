@@ -12,7 +12,7 @@ use domino_core::{
 };
 use domino_sweep::{
     merge_shards, run_coordinator, run_shard, CoordinatorConfig, ExecutionMode, FaultPlan,
-    InProcFleet, MuxWorker, ShardPlan, SweepOptions, WorkerScratch,
+    InProcFleet, MuxWorker, ShardPlan, SweepOptions,
 };
 use ran_sim::phy;
 use rtc_sim::gcc::trendline::{PacketTiming, TrendlineEstimator};
@@ -538,11 +538,9 @@ fn bench_calendar_vs_heap(c: &mut Criterion) {
 }
 
 /// End-to-end sweep-worker throughput: one 3 s simulate-then-analyze
-/// session per iteration. `sweep/sessions_per_sec` is the shipping
-/// configuration (persistent worker arena, calendar queue, recycled
-/// bundles); the `_fresh_heap` companion rebuilds a heap-backed arena per
-/// session, approximating the pre-arena path on current code. The
-/// PR-4 acceptance ratio against the seed tree is tracked by
+/// session per iteration, run at width 1 through a warm worker (persistent
+/// arena, calendar queue, recycled bundles) — the shipping configuration.
+/// The PR-4 acceptance ratio against the seed tree is tracked by
 /// `ran/two_party_session_per_sim_second` in BENCH_baseline.json.
 fn bench_sweep_sessions(c: &mut Criterion) {
     let spec = SessionSpec::cell(
@@ -555,17 +553,9 @@ fn bench_sweep_sessions(c: &mut Criterion) {
     );
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
     c.bench_function("sweep/sessions_per_sec", |b| {
-        b.iter(|| scratch.run_session(black_box(&spec), 0, &domino, &opts))
-    });
-    let mut analyzer = StreamingAnalyzer::with_defaults();
-    c.bench_function("sweep/sessions_per_sec_fresh_heap", |b| {
-        b.iter(|| {
-            let mut arena = SessionArena::with_heap_queue();
-            let bundle = black_box(&spec).run_in(&mut arena);
-            analyzer.analyze(&bundle)
-        })
+        b.iter(|| worker.run_batch(std::slice::from_ref(black_box(&spec)), 1, &domino, &opts))
     });
 }
 
@@ -629,9 +619,9 @@ fn bench_shared_cell_sweep(c: &mut Criterion) {
     );
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
     c.bench_function("sweep/shared_cell_sessions_per_sec", |b| {
-        b.iter(|| scratch.run_session(black_box(&spec), 0, &domino, &opts))
+        b.iter(|| worker.run_batch(std::slice::from_ref(black_box(&spec)), 1, &domino, &opts))
     });
 }
 

@@ -384,19 +384,8 @@ impl SessionArena {
     /// An arena on the calendar event queue — the session engine's default
     /// backend (see [`simcore::CalendarQueue`]).
     pub fn new() -> Self {
-        Self::with_queue(EventQueue::calendar())
-    }
-
-    /// An arena on the classic binary-heap queue. Pop order is identical;
-    /// this exists for A/B benchmarking and as a fallback for workloads the
-    /// calendar's bucket geometry does not fit.
-    pub fn with_heap_queue() -> Self {
-        Self::with_queue(EventQueue::with_capacity(256))
-    }
-
-    fn with_queue(queue: EventQueue<RouteEvent>) -> Self {
         SessionArena {
-            queue,
+            queue: EventQueue::calendar(),
             scratch: EngineScratch::default(),
             free_pending: Vec::new(),
             free_bundles: Vec::new(),
@@ -511,8 +500,8 @@ impl SessionArena {
 /// access simulator, both WebRTC endpoints, the non-RAN path models, the
 /// in-flight packet map, and the growing [`TraceBundle`].
 ///
-/// The solo entry points ([`run_cell_session`] and friends) drive one
-/// state to completion in a tight loop; a multiplexing driver instead
+/// The solo entry point ([`SessionRun`]) drives one state to completion
+/// in a tight loop; a multiplexing driver instead
 /// *interleaves* many states, advancing each one engine tick at a time:
 ///
 /// 1. [`SessionState::begin_tick`] — endpoints emit, the access network
@@ -1154,9 +1143,8 @@ impl SessionState {
     }
 }
 
-/// One solo session run, configured fluently: the single entry point that
-/// replaced the `run_cell_session*` / `run_baseline_session*` free-function
-/// family.
+/// One solo session run, configured fluently: the single entry point for
+/// running one session to completion.
 ///
 /// ```
 /// use scenarios::{cells, SessionConfig, SessionRun, SessionSpec};
@@ -1315,82 +1303,6 @@ impl<'a> SessionRun<'a> {
         };
         drive(state, tap, arena)
     }
-}
-
-/// Runs a session over a 5G cell. `script` can install scripted overrides
-/// (forced fades, cross-traffic windows, HARQ failures, RRC releases) on
-/// the cell before the call starts.
-#[deprecated(note = "use `SessionRun::cell(cell_cfg, cfg).script(script).run()`")]
-pub fn run_cell_session(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg).script(script).run()
-}
-
-/// Runs a session over a 5G cell while streaming every telemetry record into
-/// `tap` at emission time (see [`telemetry::LiveTap`] for the event
-/// contract).
-#[deprecated(note = "use `SessionRun::cell(cell_cfg, cfg).script(script).tap(tap).run()`")]
-pub fn run_cell_session_with_tap(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-    tap: &mut dyn LiveTap,
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg)
-        .script(script)
-        .tap(tap)
-        .run()
-}
-
-/// Cell session with a tap inside a caller-owned [`SessionArena`].
-#[deprecated(
-    note = "use `SessionRun::cell(cell_cfg, cfg).script(script).tap(tap).arena(arena).run()`"
-)]
-pub fn run_cell_session_with_tap_in(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-    tap: &mut dyn LiveTap,
-    arena: &mut SessionArena,
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg)
-        .script(script)
-        .tap(tap)
-        .arena(arena)
-        .run()
-}
-
-/// Runs a baseline (wired or Wi-Fi) session for the §2 comparisons.
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).run()`")]
-pub fn run_baseline_session(access: BaselineAccess, cfg: &SessionConfig) -> TraceBundle {
-    SessionRun::baseline(access, cfg).run()
-}
-
-/// Runs a baseline session with a live tap.
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).tap(tap).run()`")]
-pub fn run_baseline_session_with_tap(
-    access: BaselineAccess,
-    cfg: &SessionConfig,
-    tap: &mut dyn LiveTap,
-) -> TraceBundle {
-    SessionRun::baseline(access, cfg).tap(tap).run()
-}
-
-/// Baseline session with a tap inside a caller-owned [`SessionArena`].
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).tap(tap).arena(arena).run()`")]
-pub fn run_baseline_session_with_tap_in(
-    access: BaselineAccess,
-    cfg: &SessionConfig,
-    tap: &mut dyn LiveTap,
-    arena: &mut SessionArena,
-) -> TraceBundle {
-    SessionRun::baseline(access, cfg)
-        .tap(tap)
-        .arena(arena)
-        .run()
 }
 
 /// The solo driver: advances one [`SessionState`] to completion through the
@@ -1781,24 +1693,6 @@ mod tests {
             assert_eq!(p.sent, q.sent);
             assert_eq!(p.received, q.received);
         }
-    }
-
-    /// The deprecated free-function wrappers must stay byte-identical to
-    /// the builder they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_session_run() {
-        let cfg = short_cfg(21);
-        let via_builder = SessionRun::cell(cells::mosolabs(), &cfg)
-            .script(|sim| sim.script_rrc_release(SimTime::from_secs(5)))
-            .run();
-        let via_wrapper = run_cell_session(cells::mosolabs(), &cfg, |sim| {
-            sim.script_rrc_release(SimTime::from_secs(5))
-        });
-        assert_bundles_identical(&via_builder, &via_wrapper);
-        let base_builder = SessionRun::baseline(BaselineAccess::Wifi, &cfg).run();
-        let base_wrapper = run_baseline_session(BaselineAccess::Wifi, &cfg);
-        assert_bundles_identical(&base_builder, &base_wrapper);
     }
 
     #[test]

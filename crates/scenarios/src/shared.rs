@@ -20,7 +20,7 @@
 //!    `(time, session, seq)` order from the [`SharedRouteQueue`].
 //!
 //! With one pair and no traffic UEs this pipeline is byte-identical to
-//! [`crate::session::run_cell_session`] — the shared-cell determinism suite
+//! a solo [`crate::SessionRun`] — the shared-cell determinism suite
 //! asserts it — so sharing a cell is purely additive: existing single-call
 //! traces never change.
 

@@ -1,4 +1,4 @@
-//! The multiplexed many-call engine: one worker advances N concurrent
+//! The sweep engine loop: one worker advances up to N concurrent
 //! sessions through **one shared calendar queue**, **one shared
 //! [`SessionArena`]**, and (in live mode) **one session-keyed
 //! [`PipelinePool`]** — the operator deployment shape, where a thread
@@ -26,6 +26,12 @@
 //!    clock starts at the *current* global tick — so long sweeps run with
 //!    staggered start offsets as a matter of course.
 //!
+//! A claimed spec whose engine tick differs from the lattice's is parked:
+//! refilling stops until the active set drains, and the parked spec then
+//! starts a new lattice as its first session. Width 1
+//! ([`ExecutionMode::PerWorker`]) is the same loop with one slot, so every
+//! sweep runs through it.
+//!
 //! # Determinism
 //!
 //! Sessions never interact: all randomness is per-session (derived from the
@@ -46,7 +52,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use domino_core::{Analysis, ChainStats, Domino, StreamingAnalyzer};
-use domino_live::{ChaosState, ChaosTap, LiveStats, PipelinePool};
+use domino_live::{ChaosState, ChaosTap, PipelinePool};
 use domino_obs::{Counter, FGauge, Gauge, Recorder, SpanId};
 use scenarios::{SessionArena, SessionSpec, SessionState, SharedRouteQueue};
 use simcore::{alloc_count, SimDuration, SimTime};
@@ -56,11 +62,12 @@ use crate::{
     live_config_for, record_chaos_obs, record_live_obs, AnalysisMode, SessionOutcome, SweepOptions,
 };
 
-/// How each sweep worker schedules the sessions it claims.
+/// How many sessions each sweep worker keeps in flight. Both variants run
+/// the same [`MuxWorker`] loop; they differ only in its width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One session at a time per worker, run to completion (the classic
-    /// PR 1–4 driver).
+    /// One session at a time per worker, run to completion: width 1 of the
+    /// same loop.
     #[default]
     PerWorker,
     /// Up to `width` sessions interleaved per worker through one shared
@@ -71,6 +78,16 @@ pub enum ExecutionMode {
         /// Concurrent sessions per worker.
         width: usize,
     },
+}
+
+impl ExecutionMode {
+    /// Sessions each worker keeps in flight.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            ExecutionMode::PerWorker => 1,
+            ExecutionMode::Multiplexed { width } => width,
+        }
+    }
 }
 
 /// One interleaved session in flight.
@@ -87,11 +104,11 @@ struct Active {
 /// free-listed per-session sub-state), the shared tagged route-event queue,
 /// and the analyzer or pipeline pool for the configured [`AnalysisMode`].
 ///
-/// `run_sweep` spawns one per worker thread under
-/// [`ExecutionMode::Multiplexed`]; embedders (and the throughput
-/// microbench) that already own a thread can drive one directly through
+/// `run_sweep` spawns one per worker thread, at the width
+/// [`SweepOptions::execution`] gives; embedders (and the throughput
+/// microbenches) that already own a thread can drive one directly through
 /// [`MuxWorker::run_batch`], reusing its warm arena/queue/pool across
-/// batches.
+/// batches. With a warm worker a session performs O(1) large allocations.
 pub struct MuxWorker {
     arena: SessionArena,
     shared: SharedRouteQueue,
@@ -136,6 +153,13 @@ impl MuxWorker {
         self.arena.recorder_mut()
     }
 
+    /// Retained storage in elements: the arena's footprint
+    /// ([`SessionArena::footprint`]) plus the shared route queue's
+    /// capacity. It must stay flat once the worker is warm.
+    pub fn footprint(&self) -> usize {
+        self.arena.footprint() + self.shared.capacity()
+    }
+
     /// Drives every spec through this worker at up to `width` in flight
     /// (no threads spawned; claims indices in order) and returns the
     /// outcomes in spec order. Arena, shared queue, and pipeline pool stay
@@ -169,9 +193,9 @@ impl MuxWorker {
     /// Runs sessions claimed from `claim` at up to `width` in flight,
     /// delivering each finished [`SessionOutcome`] to `complete` (in
     /// completion order; the caller slots them by index).
-    /// `footprint_peak`, when given, receives a `fetch_max` of the arena
-    /// footprint after every completed session (the sweep's shared
-    /// high-water the progress callback reports).
+    /// `footprint_peak`, when given, receives a `fetch_max` of
+    /// [`MuxWorker::footprint`] after every completed session (the sweep's
+    /// shared high-water the progress callback reports).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &mut self,
@@ -202,28 +226,34 @@ impl MuxWorker {
         let mut active: Vec<Active> = Vec::with_capacity(width);
         let mut null = NullTap;
         // Global driver clock and the group tick, fixed by the first
-        // claimed spec. A spec with a different engine tick cannot share
-        // the lattice; it runs solo (to completion) on the same arena and
-        // pool instead of being interleaved.
+        // session of each lattice. A claimed spec whose engine tick differs
+        // cannot share the lattice: it is parked, refilling stops until the
+        // active set drains, and it then starts the next lattice.
         let mut global = SimTime::ZERO;
         let mut tick: Option<SimDuration> = None;
+        let mut parked: Option<usize> = None;
 
         loop {
             if active.is_empty() {
-                // No session pins the lattice: let the next claim re-fix
+                // No session pins the lattice: let the next session re-fix
                 // the group tick, so one atypical-tick spec cannot disable
                 // interleaving for the rest of the sweep.
                 tick = None;
             }
             // Refill free slots; new sessions start at the current tick.
             while active.len() < width {
-                let Some(index) = claim() else { break };
+                let next = match parked {
+                    Some(_) if !active.is_empty() => break,
+                    Some(_) => parked.take(),
+                    None => claim(),
+                };
+                let Some(index) = next else { break };
                 let spec = &specs[index];
                 match tick {
                     None => tick = Some(spec.cfg.tick),
                     Some(t) if t != spec.cfg.tick => {
-                        complete(self.run_solo(spec, index, domino, opts, live));
-                        continue;
+                        parked = Some(index);
+                        break;
                     }
                     Some(_) => {}
                 }
@@ -241,43 +271,27 @@ impl MuxWorker {
                         }
                     }
                 }
-                let state = spec.start_in(live, &mut self.arena);
-                if state.is_done() {
-                    // Degenerate spec (duration shorter than its tick): no
-                    // tick may be begun — finalise straight away, exactly
-                    // like the solo driver's `while !is_done()` guard.
-                    let mut chaos_state = self.chaos.remove(&(index as u64));
-                    let MuxWorker {
-                        arena, pool: pl, ..
-                    } = self;
-                    complete(finalize(
-                        Active {
-                            index,
-                            state,
-                            offset: SimDuration::ZERO,
-                        },
-                        spec.label.clone(),
-                        arena,
-                        pl,
-                        &mut self.analyzer,
-                        domino,
-                        opts,
-                        live,
-                        chaos_state.as_mut(),
-                    ));
-                    if let Some(st) = &chaos_state {
-                        record_chaos_obs(self.arena.recorder_mut(), &st.log);
-                    }
-                    continue;
-                }
-                active.push(Active {
+                let s = Active {
                     index,
-                    state,
+                    state: spec.start_in(live, &mut self.arena),
                     offset: global - SimTime::ZERO,
-                });
+                };
+                if s.state.is_done() {
+                    // Degenerate spec (duration shorter than its tick): no
+                    // tick may be begun — finalise straight away.
+                    let label = spec.label.clone();
+                    complete(self.finish(s, label, domino, opts, live, footprint_peak));
+                } else {
+                    active.push(s);
+                }
             }
             if active.is_empty() {
-                break;
+                if parked.is_none() {
+                    break;
+                }
+                // A degenerate spec fixed the tick and left nothing
+                // running: loop round to reset it for the parked spec.
+                continue;
             }
             self.arena
                 .recorder_mut()
@@ -325,35 +339,19 @@ impl MuxWorker {
             let mut i = 0;
             while i < active.len() {
                 let s = &mut active[i];
-                let done = with_tap(live, pool, chaos, &mut null, s.index as u64, |tap| {
-                    s.state.end_tick(tap, arena.scratch_mut())
-                });
+                let arena = &mut self.arena;
+                let done = with_tap(
+                    live,
+                    &mut self.pool,
+                    &mut self.chaos,
+                    &mut null,
+                    s.index as u64,
+                    |tap| s.state.end_tick(tap, arena.scratch_mut()),
+                );
                 if done {
                     let s = active.swap_remove(i);
                     let label = specs[s.index].label.clone();
-                    let mut chaos_state = chaos.remove(&(s.index as u64));
-                    complete(finalize(
-                        s,
-                        label,
-                        arena,
-                        pool,
-                        &mut self.analyzer,
-                        domino,
-                        opts,
-                        live,
-                        chaos_state.as_mut(),
-                    ));
-                    if let Some(st) = &chaos_state {
-                        debug_assert!(st.log.reconciled(), "chaos log must balance");
-                        record_chaos_obs(arena.recorder_mut(), &st.log);
-                    }
-                    if obs_on {
-                        let fp = arena.footprint() as u64;
-                        arena.recorder_mut().gauge_max(Gauge::ArenaFootprint, fp);
-                        if let Some(a) = footprint_peak {
-                            a.fetch_max(fp, Ordering::Relaxed);
-                        }
-                    }
+                    complete(self.finish(s, label, domino, opts, live, footprint_peak));
                 } else {
                     i += 1;
                 }
@@ -386,70 +384,86 @@ impl MuxWorker {
         }
     }
 
-    /// The non-interleaved escape hatch for a spec whose engine tick does
-    /// not match the group lattice: run it to completion through the
-    /// arena's *private* route-event queue — exactly the per-worker
-    /// driver's path (`SessionSpec::run_with_tap_in`) — so the
-    /// worker-shared queue, which may hold other active sessions' future
-    /// events, is never popped on this session's clock.
-    fn run_solo(
+    /// Finishes one session and builds its [`SessionOutcome`]. A live
+    /// session flushes its pipeline via `on_finish`, takes the accumulated
+    /// analysis, and releases the pipeline back to the pool (warm, ready
+    /// for the next call); other modes run the configured post-hoc pass
+    /// over the finished bundle. The bundle is retained or recycled per
+    /// `opts`, and the worker footprint is then recorded in the recorder's
+    /// high-water gauge and, when given, in the sweep-wide `footprint_peak`.
+    fn finish(
         &mut self,
-        spec: &SessionSpec,
-        index: usize,
+        s: Active,
+        label: String,
         domino: &Domino,
         opts: &SweepOptions,
         live: bool,
+        footprint_peak: Option<&AtomicU64>,
     ) -> SessionOutcome {
         let MuxWorker {
             arena,
             pool,
             analyzer,
+            chaos,
             ..
         } = self;
+        let index = s.index;
+        let key = index as u64;
+        let mut chaos = chaos.remove(&key);
         let (bundle, analysis, live_stats) = if live {
             let pool = pool.as_mut().expect("live implies pool");
-            let pipe = pool.checkout(index as u64);
-            pipe.set_live_config(live_config_for(spec, opts));
-            let bundle = match &spec.chaos {
-                Some(plan) => {
-                    let mut state = ChaosState::new(plan);
-                    let bundle = if state.is_noop() {
-                        spec.run_with_tap_in(pipe, arena)
-                    } else {
-                        let mut tap = ChaosTap::new(&mut state, pipe);
-                        spec.run_with_tap_in(&mut tap, arena)
-                    };
-                    debug_assert!(state.log.reconciled(), "chaos log must balance");
-                    record_chaos_obs(arena.recorder_mut(), &state.log);
-                    bundle
-                }
-                None => spec.run_with_tap_in(pipe, arena),
+            let tap = pool.get_mut(key).expect("leased at claim");
+            // `finish` drives the tap's `on_finish`; with chaos in flight it
+            // must route through the wrapper so delayed records still in the
+            // chaos stash flush into the pipeline before the final windows.
+            let bundle = match &mut chaos {
+                Some(state) => s.state.finish(&mut ChaosTap::new(state, tap), arena),
+                None => s.state.finish(tap, arena),
             };
-            let analysis = pool
-                .get_mut(index as u64)
-                .expect("leased above")
-                .take_analysis(bundle.meta.duration);
-            record_live_obs(
-                arena.recorder_mut(),
-                pool.get_mut(index as u64).expect("leased above"),
-            );
-            let stats = pool.release(index as u64);
-            (bundle, Some(analysis), stats)
+            let pipe = pool.get_mut(key).expect("leased at claim");
+            let analysis = pipe.take_analysis(bundle.meta.duration);
+            record_live_obs(arena.recorder_mut(), pipe);
+            (bundle, Some(analysis), pool.release(key))
         } else {
-            let bundle = spec.run_in(arena);
+            let bundle = s.state.finish(&mut NullTap, arena);
             let analysis = post_hoc_analysis(&bundle, analyzer, domino, opts);
             (bundle, analysis, None)
         };
-        outcome_from(
+        if let Some(state) = &chaos {
+            assert!(
+                state.log.reconciled(),
+                "chaos log of session {index} does not balance: {:?}",
+                state.log
+            );
+            record_chaos_obs(arena.recorder_mut(), &state.log);
+        }
+        arena.recorder_mut().add(Counter::EngineSessions, 1);
+        let stats = analysis
+            .as_ref()
+            .map(|a| ChainStats::compute(domino.graph(), a));
+        let meta = bundle.meta.clone();
+        let bundle = if opts.keep_bundles {
+            Some(bundle)
+        } else {
+            arena.recycle(bundle);
+            None
+        };
+        let fp = self.footprint() as u64;
+        self.arena
+            .recorder_mut()
+            .gauge_max(Gauge::ArenaFootprint, fp);
+        if let Some(peak) = footprint_peak {
+            peak.fetch_max(fp, Ordering::Relaxed);
+        }
+        SessionOutcome {
             index,
-            spec.label.clone(),
+            label,
+            meta,
             bundle,
-            analysis,
-            live_stats,
-            arena,
-            domino,
-            opts,
-        )
+            analysis: if opts.keep_analyses { analysis } else { None },
+            stats,
+            live: live_stats,
+        }
     }
 }
 
@@ -480,10 +494,9 @@ fn with_tap<R>(
     }
 }
 
-/// The post-hoc analysis pass for non-live modes — mirrors the per-worker
-/// driver: streaming when supported, batch for `AnalysisMode::Batch`,
-/// streaming-unsupported configs, and the live fallback (pool construction
-/// rejected the configuration).
+/// The post-hoc analysis pass for non-live modes: streaming when supported,
+/// batch for `AnalysisMode::Batch`, streaming-unsupported configs, and the
+/// live fallback (pool construction rejected the configuration).
 fn post_hoc_analysis(
     bundle: &TraceBundle,
     analyzer: &mut Option<StreamingAnalyzer>,
@@ -494,87 +507,5 @@ fn post_hoc_analysis(
         (AnalysisMode::None, _) => None,
         (AnalysisMode::Streaming, Some(a)) => Some(a.analyze(bundle)),
         _ => Some(domino.analyze(bundle)),
-    }
-}
-
-/// Finishes one session and builds its [`SessionOutcome`] — the multiplexed
-/// twin of `WorkerScratch::run_session`'s post-processing: live sessions
-/// flush their pipeline via `on_finish`, take the accumulated analysis, and
-/// release the pipeline back to the pool (warm, ready for the next call);
-/// other modes run the configured post-hoc pass over the finished bundle.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    s: Active,
-    label: String,
-    arena: &mut SessionArena,
-    pool: &mut Option<PipelinePool>,
-    analyzer: &mut Option<StreamingAnalyzer>,
-    domino: &Domino,
-    opts: &SweepOptions,
-    live: bool,
-    chaos: Option<&mut ChaosState>,
-) -> SessionOutcome {
-    let index = s.index;
-    let (bundle, analysis, live_stats) = if live {
-        let pool = pool.as_mut().expect("live implies pool");
-        let tap = pool.get_mut(index as u64).expect("leased at claim");
-        // `finish` drives the tap's `on_finish`; with chaos in flight it
-        // must route through the wrapper so delayed records still in the
-        // chaos stash flush into the pipeline before the final windows.
-        let bundle = match chaos {
-            Some(state) => s.state.finish(&mut ChaosTap::new(state, tap), arena),
-            None => s.state.finish(tap, arena),
-        };
-        let analysis = pool
-            .get_mut(index as u64)
-            .expect("leased at claim")
-            .take_analysis(bundle.meta.duration);
-        record_live_obs(
-            arena.recorder_mut(),
-            pool.get_mut(index as u64).expect("leased at claim"),
-        );
-        let stats = pool.release(index as u64);
-        (bundle, Some(analysis), stats)
-    } else {
-        let bundle = s.state.finish(&mut NullTap, arena);
-        let analysis = post_hoc_analysis(&bundle, analyzer, domino, opts);
-        (bundle, analysis, None)
-    };
-    outcome_from(
-        index, label, bundle, analysis, live_stats, arena, domino, opts,
-    )
-}
-
-/// Assembles the outcome, retaining or recycling the bundle per `opts`.
-#[allow(clippy::too_many_arguments)]
-fn outcome_from(
-    index: usize,
-    label: String,
-    bundle: TraceBundle,
-    analysis: Option<Analysis>,
-    live_stats: Option<LiveStats>,
-    arena: &mut SessionArena,
-    domino: &Domino,
-    opts: &SweepOptions,
-) -> SessionOutcome {
-    arena.recorder_mut().add(Counter::EngineSessions, 1);
-    let stats = analysis
-        .as_ref()
-        .map(|a| ChainStats::compute(domino.graph(), a));
-    let meta = bundle.meta.clone();
-    let bundle = if opts.keep_bundles {
-        Some(bundle)
-    } else {
-        arena.recycle(bundle);
-        None
-    };
-    SessionOutcome {
-        index,
-        label,
-        meta,
-        bundle,
-        analysis: if opts.keep_analyses { analysis } else { None },
-        stats,
-        live: live_stats,
     }
 }

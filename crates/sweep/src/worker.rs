@@ -118,20 +118,20 @@ impl<'a> SweepWorker<'a> {
 }
 
 /// Flips one payload byte without breaking the framing: picks a mid-text
-/// byte that is not a tab or newline and XORs a bit, so the frame still
-/// decodes but the report checksum no longer matches.
-pub fn corrupt_in_place(text: &mut str) {
-    // Report text is pure ASCII; XOR 0x02 on a graphic byte stays graphic
-    // ASCII, so the String stays valid UTF-8 and the framing stays intact.
-    let bytes = unsafe { text.as_bytes_mut() };
+/// graphic ASCII byte (never a tab or newline) and XORs a bit, so the
+/// frame still decodes but the report checksum no longer matches.
+pub fn corrupt_in_place(text: &mut String) {
+    let mut bytes = std::mem::take(text).into_bytes();
     let n = bytes.len();
-    for i in 0..n {
-        let idx = (n / 2 + i) % n;
-        if bytes[idx].is_ascii_graphic() && bytes[idx] != b'\t' {
-            bytes[idx] ^= 0x02;
-            return;
-        }
+    if let Some(idx) = (0..n)
+        .map(|i| (n / 2 + i) % n)
+        .find(|&i| bytes[i].is_ascii_graphic())
+    {
+        bytes[idx] ^= 0x02;
     }
+    // An ASCII byte XOR 0x02 is still ASCII, and ASCII bytes never sit
+    // inside a multi-byte UTF-8 sequence, so the text stays valid.
+    *text = String::from_utf8(bytes).expect("ASCII XOR 0x02 stays ASCII");
 }
 
 /// A frame pipe a worker loop can run over. [`TcpLink`] is the production

@@ -1,8 +1,15 @@
 //! Fleet observability dashboard: run 16 concurrent live-diagnosed calls
 //! through the multiplexed sweep engine with the `domino-obs` recorder on,
-//! then render the merged [`MetricsSnapshot`] as a plain-text dashboard —
-//! verdict-latency percentiles, late-drop rate, RAN utilization, phase
-//! wall times, pipeline-pool recycling, and arena footprint.
+//! then render each call's top causal chain and the merged
+//! [`MetricsSnapshot`] as a plain-text dashboard — verdict-latency
+//! percentiles, late-drop rate, RAN utilization, phase wall times,
+//! pipeline-pool recycling, and the peak worker footprint.
+//!
+//! Each worker interleaves up to 8 calls through one shared calendar
+//! queue, one `SessionArena`, and one session-keyed `PipelinePool` whose
+//! pipelines are recycled across call starts and ends; early-exit triage
+//! ends healthy calls at irregular instants and their slots go straight
+//! to the next caller.
 //!
 //! The same snapshot powering this dashboard is deterministic in its `Sim`
 //! section: re-running the fleet at any thread count or multiplex width
@@ -25,9 +32,9 @@ use domino::{
 
 const CALLS: usize = 16;
 
-/// Same fleet shape as `multiplexed_live`: 16 calls over the Table 1
-/// cells, every third carrying a downlink cross-traffic surge and every
-/// fifth an RRC release, so the dashboard shows a mixed verdict population.
+/// 16 calls over the Table 1 cells, every third carrying a downlink
+/// cross-traffic surge and every fifth an RRC release, so the dashboard
+/// shows a mixed verdict population.
 fn fleet() -> Vec<SessionSpec> {
     let cells = all_cells();
     (0..CALLS)
@@ -107,6 +114,35 @@ fn main() {
     let sim_secs = m.counter(Counter::EngineSimTimeUs) as f64 / 1e6;
 
     println!("== fleet dashboard: {CALLS} live calls, mux width 8, 2 workers ==");
+    println!();
+    println!("-- calls (top chain by windows) --");
+    for o in &report.outcomes {
+        let live = o.live.expect("live mode reports pipeline stats");
+        let stats = o.stats.as_ref().expect("live mode analyses every call");
+        // Most windows first; ties go to the alphabetically first chain.
+        let top = stats
+            .chain_windows
+            .iter()
+            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)));
+        let unknown = stats.unknown_windows.keys().min();
+        let verdict = match (top, unknown) {
+            (Some(((cause, consequence), n)), _) => format!("{cause} --> {consequence} ({n})"),
+            (None, Some(consequence)) => format!("{consequence} (cause unknown)"),
+            (None, None) => "healthy".to_string(),
+        };
+        println!(
+            "  {:02} {:<22} {:>5.1}s {:>3} windows{:<13}  {verdict}",
+            o.index,
+            o.label,
+            o.meta.duration.as_secs_f64(),
+            live.windows_emitted,
+            if live.early_exited {
+                ", early exit"
+            } else {
+                ""
+            },
+        );
+    }
     println!();
     println!("-- fleet --");
     println!("  sessions               {sessions}");
@@ -194,11 +230,15 @@ fn main() {
         m.counter(Counter::PoolEvicted)
     );
     let (footprint, _) = m.gauge(Gauge::ArenaFootprint);
-    println!("  arena footprint peak   {footprint} retained elements");
+    println!(
+        "  footprint peak         {footprint} retained elements/worker \
+         (arena + shared route queue)"
+    );
     let (in_flight, _) = m.gauge(Gauge::MuxInFlightPeak);
     println!("  in-flight peak         {in_flight} concurrent calls/worker");
     let (allocs_per_tick, _) = m.fgauge(FGauge::AllocsPerTickPeak);
-    if allocs_per_tick.is_finite() {
+    // Without the counting allocator every allocation delta reads 0.
+    if m.counter(Counter::ProcAllocs) > 0 {
         println!("  allocs/tick peak       {allocs_per_tick:.4}");
     } else {
         println!("  allocs/tick peak       n/a (counting allocator not installed)");

@@ -319,7 +319,7 @@ fn main() -> ExitCode {
             let domino = Domino::with_defaults();
             // --mux-width W > 1 interleaves W sessions per worker through
             // one shared calendar queue/arena; the report is byte-identical
-            // to the per-worker driver's — CI diffs width 1 vs width 8.
+            // to the width-1 run's — CI diffs width 1 vs width 8.
             let opts = SweepOptions::default()
                 .threads(threads)
                 .mode(if mux_width > 1 {

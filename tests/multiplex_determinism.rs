@@ -17,11 +17,14 @@
 //! different offset pattern than a width-8 run). Thread count is crossed in
 //! as a third axis for the live-mode case.
 
-use domino::core::Domino;
-use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionGrid, SessionSpec};
+use domino::core::{ChainStats, Domino, StreamingAnalyzer};
+use domino::scenarios::{
+    all_cells, ScriptAction, SessionConfig, SessionGrid, SessionRun, SessionSpec,
+};
 use domino::simcore::{SimDuration, SimTime};
 use domino::sweep::{
-    run_shard, AnalysisMode, EarlyExit, ExecutionMode, LiveConfig, ShardPlan, SweepOptions,
+    run_shard, run_sweep, AnalysisMode, EarlyExit, ExecutionMode, LiveConfig, ShardPlan,
+    SweepOptions,
 };
 use domino::telemetry::{Direction, Lateness};
 
@@ -44,6 +47,49 @@ fn encode_run(specs: &[SessionSpec], opts: &SweepOptions) -> String {
     let domino = Domino::with_defaults();
     let plan = ShardPlan::new(specs.len(), 1);
     run_shard(specs, &plan.shard(0), &domino, opts).encode()
+}
+
+#[test]
+fn sweep_matches_solo_engine() {
+    // The independent reference: each spec run alone through the solo
+    // engine (`SessionRun`, the arena's private queue) and analysed by a
+    // fresh streaming analyzer. Every sweep width runs through the shared
+    // mux scheduler, so this is what keeps that scheduler honest.
+    let specs = mixed_duration_grid();
+    let domino = Domino::with_defaults();
+    let mut analyzer = StreamingAnalyzer::with_defaults();
+    let solo: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            let bundle = SessionRun::new(spec).run();
+            let stats = ChainStats::compute(domino.graph(), &analyzer.analyze(&bundle));
+            (bundle.meta, stats)
+        })
+        .collect();
+    for execution in [
+        ExecutionMode::PerWorker,
+        ExecutionMode::Multiplexed { width: 8 },
+    ] {
+        let report = run_sweep(
+            &specs,
+            &domino,
+            &SweepOptions {
+                threads: 1,
+                execution,
+                ..Default::default()
+            },
+        );
+        assert_eq!(report.outcomes.len(), solo.len());
+        for (o, (meta, stats)) in report.outcomes.iter().zip(&solo) {
+            assert_eq!(&o.meta, meta, "{execution:?}: meta of {}", o.label);
+            assert_eq!(
+                o.stats.as_ref(),
+                Some(stats),
+                "{execution:?}: stats of {}",
+                o.label
+            );
+        }
+    }
 }
 
 #[test]
@@ -78,7 +124,7 @@ fn multiplexed_widths_are_byte_identical_to_per_worker() {
 }
 
 #[test]
-fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
+fn live_mode_is_byte_identical_across_widths_and_threads() {
     // Live mode: each interleaved session is fed by a pipeline leased from
     // the worker's pool; reorder buffers, staging bundles, and analyzers
     // are recycled across call starts/ends. A lateness bound beyond any
@@ -111,14 +157,13 @@ fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
 }
 
 #[test]
-fn mixed_tick_specs_run_solo_without_perturbing_the_lattice() {
+fn mixed_tick_specs_park_without_perturbing_the_lattice() {
     // Specs whose engine tick differs from the group lattice cannot be
-    // interleaved; the driver runs them to completion through the arena's
-    // PRIVATE queue. Claim order matters here: the first session is short,
-    // so its slot frees mid-flight and the mismatched-tick spec is claimed
-    // while other sessions still hold future route events in the shared
-    // queue — a solo run that drained the shared queue on its own clock
-    // would destroy those events and corrupt the in-flight sessions.
+    // interleaved; the driver parks them until the active set drains and
+    // then starts each as the first session of a new lattice. Claim order
+    // matters here: the first session is short, so its slot frees
+    // mid-flight and the mismatched-tick spec is claimed while other
+    // sessions still hold future route events in the shared queue.
     let cells = all_cells();
     let mk = |i: usize, secs: u64, tick_ms: u64| {
         SessionSpec::cell(
@@ -193,6 +238,27 @@ fn mixed_tick_specs_run_solo_without_perturbing_the_lattice() {
         },
     );
     assert_eq!(reference, mux, "atypical-first-tick report diverged");
+
+    // A degenerate spec leading a lattice fixes its tick yet leaves nothing
+    // running, so the mismatched spec claimed right after it is parked with
+    // an empty active set — it must still run, at every width.
+    let mut degenerate_first = atypical_first;
+    degenerate_first[..4].rotate_right(1); // micro, then the 2 ms spec
+    let run = |execution| {
+        encode_run(
+            &degenerate_first,
+            &SweepOptions {
+                threads: 1,
+                execution,
+                ..Default::default()
+            },
+        )
+    };
+    assert_eq!(
+        run(ExecutionMode::PerWorker),
+        run(ExecutionMode::Multiplexed { width: 3 }),
+        "degenerate-first report diverged"
+    );
 }
 
 #[test]
